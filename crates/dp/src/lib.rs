@@ -33,5 +33,5 @@ pub use accountant::{
     calibrate_noise_multiplier, BudgetedAccountant, PrivacyBudget, RdpAccountant,
     DEFAULT_ORDERS_MAX,
 };
-pub use noise::GaussianSampler;
+pub use noise::{GaussianSampler, PolarBatch};
 pub use rdp::{gaussian_rdp, subsampled_gaussian_rdp};

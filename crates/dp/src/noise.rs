@@ -48,10 +48,45 @@ impl GaussianSampler {
             let v: f64 = rng.gen_range(-1.0..1.0);
             let s = u * u + v * v;
             if s > 0.0 && s < 1.0 {
-                let f = (-2.0 * s.ln() / s).sqrt();
+                let f = polar_factor(s);
                 self.spare = Some(v * f);
                 return u * f;
             }
+        }
+    }
+
+    /// Draws the next `n` deviates into `batch`, deferring their
+    /// transform: the result is bit-identical to `n` calls of
+    /// [`GaussianSampler::standard`], and leaves the same spare behind.
+    ///
+    /// Only the accept/reject loop consumes `rng`, so only it must run
+    /// in stream order. It stores the accepted `(u, v)` pairs without
+    /// branching on acceptance; [`PolarBatch::add_scaled`] later turns
+    /// them into deviates (the `ln`/`sqrt` work) on any thread, in any
+    /// order.
+    pub fn draw_batch<R: Rng + ?Sized>(&mut self, n: usize, batch: &mut PolarBatch, rng: &mut R) {
+        batch.lead = None;
+        if n == 0 {
+            batch.pairs.clear();
+            return;
+        }
+        batch.lead = self.spare.take();
+        let fresh = n - usize::from(batch.lead.is_some());
+        let pairs = fresh.div_ceil(2);
+        // `resize` only grows or truncates; every kept slot is
+        // overwritten by the loop below.
+        batch.pairs.resize(pairs, [0.0; 2]);
+        let mut k = 0;
+        while k < pairs {
+            let u: f64 = rng.gen_range(-1.0..1.0);
+            let v: f64 = rng.gen_range(-1.0..1.0);
+            let s = u * u + v * v;
+            batch.pairs[k] = [u, v];
+            k += usize::from((s > 0.0) & (s < 1.0));
+        }
+        if fresh % 2 == 1 {
+            let [u, v] = batch.pairs[pairs - 1];
+            self.spare = Some(v * polar_factor(u * u + v * v));
         }
     }
 
@@ -80,6 +115,68 @@ impl GaussianSampler {
     }
 }
 
+/// The polar method's scale `sqrt(-2 ln s / s)` for an accepted `s`.
+#[inline]
+fn polar_factor(s: f64) -> f64 {
+    (-2.0 * s.ln() / s).sqrt()
+}
+
+/// Standard-normal deviates drawn by [`GaussianSampler::draw_batch`]:
+/// the sampler's previous spare (if it had one) followed by accepted
+/// polar pairs whose transform has not run yet. Reusable across draws.
+#[derive(Clone, Debug, Default)]
+pub struct PolarBatch {
+    lead: Option<f64>,
+    pairs: Vec<[f64; 2]>,
+}
+
+impl PolarBatch {
+    /// Empty batch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds `std · z_{start+i}` to `out[i]`, where `z_t` is deviate `t`
+    /// of the batch — the same value, bit for bit, that the `t`-th
+    /// [`GaussianSampler::standard`] call would have returned, so
+    /// disjoint ranges can be applied on different threads.
+    ///
+    /// # Panics
+    /// Panics if the range runs past the drawn deviates.
+    pub fn add_scaled(&self, start: usize, std: f64, out: &mut [f64]) {
+        if out.is_empty() {
+            return;
+        }
+        let (mut i, mut t) = (0, start);
+        if let Some(z) = self.lead {
+            // Deviate 0 is the spare; pair deviates start at 1.
+            if start == 0 {
+                out[0] += std * z;
+                i = 1;
+            } else {
+                t = start - 1;
+            }
+        }
+        // `out[i]` takes pair deviate `t`: the u of pair t/2 when t is
+        // even, its v when odd. Each pair's factor is computed once.
+        while i < out.len() {
+            let [u, v] = self.pairs[t / 2];
+            let f = polar_factor(u * u + v * v);
+            if t % 2 == 0 {
+                out[i] += std * (u * f);
+                i += 1;
+                t += 1;
+                if i == out.len() {
+                    break;
+                }
+            }
+            out[i] += std * (v * f);
+            i += 1;
+            t += 1;
+        }
+    }
+}
+
 /// Convenience: a vector of `n` i.i.d. `N(0, std²)` samples.
 pub fn gaussian_vec<R: Rng + ?Sized>(n: usize, std: f64, rng: &mut R) -> Vec<f64> {
     let mut s = GaussianSampler::new();
@@ -92,7 +189,7 @@ pub fn gaussian_vec<R: Rng + ?Sized>(n: usize, std: f64, rng: &mut R) -> Vec<f64
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn samples(n: usize, seed: u64) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -155,6 +252,52 @@ mod tests {
         let mut x = vec![0.0; 16];
         s.perturb_slice(&mut x, 1.0, &mut rng);
         assert!(x.iter().any(|&v| v != 0.0));
+    }
+
+    #[test]
+    fn batch_draw_is_bit_identical_to_serial_draws() {
+        // Odd sizes leave a spare that the next batch must lead with.
+        let sizes = [0usize, 1, 3, 4, 7, 0, 2, 9, 1, 1, 128];
+        let mut serial_rng = StdRng::seed_from_u64(21);
+        let mut batch_rng = StdRng::seed_from_u64(21);
+        let mut serial = GaussianSampler::new();
+        let mut batched = GaussianSampler::from_spare(None);
+        let mut batch = PolarBatch::new();
+        for &n in &sizes {
+            let expect: Vec<f64> = (0..n)
+                .map(|_| 2.5 * serial.standard(&mut serial_rng))
+                .collect();
+            batched.draw_batch(n, &mut batch, &mut batch_rng);
+            // Whole range, and the same range in uneven pieces.
+            let mut whole = vec![0.0; n];
+            batch.add_scaled(0, 2.5, &mut whole);
+            let mut pieces = vec![0.0; n];
+            let mut start = 0;
+            for len in [1usize, 2, 3].iter().cycle() {
+                if start >= n {
+                    break;
+                }
+                let end = (start + len).min(n);
+                batch.add_scaled(start, 2.5, &mut pieces[start..end]);
+                start = end;
+            }
+            for got in [&whole, &pieces] {
+                assert_eq!(
+                    expect.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "batch of {n}"
+                );
+            }
+            assert_eq!(
+                serial.spare().map(f64::to_bits),
+                batched.spare().map(f64::to_bits)
+            );
+            assert_eq!(
+                serial_rng.next_u64(),
+                batch_rng.next_u64(),
+                "RNG stream diverged"
+            );
+        }
     }
 
     #[test]

@@ -90,13 +90,17 @@ impl SkipGramModel {
     /// under degree-proportional sampling) are accumulated into a
     /// single context row, so `buf` holds the *true* sparse gradient
     /// and the joint clip in the trainer bounds the true sensitivity.
+    /// `buf` also keeps the inner products, so [`GradBuffer::loss`] can
+    /// give the example's loss without recomputing them.
     pub fn example_grad(&self, sg: &Subgraph, p: f64, buf: &mut GradBuffer) {
         let dim = self.dim();
-        buf.reset(sg.center, dim);
+        buf.reset(sg.center, p, dim);
         let vi = self.w_in.row(sg.center as usize);
 
         // Positive pair, label 1.
-        let err_pos = p * (vector::sigmoid(self.inner(sg.center, sg.positive)) - 1.0);
+        let x = self.inner(sg.center, sg.positive);
+        buf.inner.push(x);
+        let err_pos = p * (vector::sigmoid(x) - 1.0);
         vector::axpy(
             err_pos,
             self.w_out.row(sg.positive as usize),
@@ -106,7 +110,9 @@ impl SkipGramModel {
 
         // Negatives, label 0.
         for &n in &sg.negatives {
-            let err = p * vector::sigmoid(self.inner(sg.center, n));
+            let x = self.inner(sg.center, n);
+            buf.inner.push(x);
+            let err = p * vector::sigmoid(x);
             vector::axpy(err, self.w_out.row(n as usize), &mut buf.grad_center);
             buf.accumulate_ctx(n, err, vi, dim);
         }
@@ -137,6 +143,11 @@ pub struct GradBuffer {
     /// Parallel gradients (Eq. 8), accumulated over duplicates.
     ctx_grads: Vec<Vec<f64>>,
     used: usize,
+    /// Proximity weight `p` of the example.
+    weight: f64,
+    /// Inner products `v_i·v_j`, then `v_i·v_n` for every negative in
+    /// order (duplicates included): the terms of Eq. 5.
+    inner: Vec<f64>,
 }
 
 impl GradBuffer {
@@ -145,8 +156,10 @@ impl GradBuffer {
         Self::default()
     }
 
-    fn reset(&mut self, center: NodeId, dim: usize) {
+    fn reset(&mut self, center: NodeId, weight: f64, dim: usize) {
         self.center = center;
+        self.weight = weight;
+        self.inner.clear();
         self.grad_center.clear();
         self.grad_center.resize(dim, 0.0);
         self.used = 0;
@@ -180,6 +193,27 @@ impl GradBuffer {
     /// Gradients parallel to [`GradBuffer::ctx_rows`].
     pub fn ctx_grads(&self) -> &[Vec<f64>] {
         &self.ctx_grads[..self.used]
+    }
+
+    /// The gradient of `W_out` row `row`, if this example touches it.
+    pub(crate) fn ctx_grad(&self, row: NodeId) -> Option<&[f64]> {
+        let idx = self.ctx_rows().iter().position(|&r| r == row)?;
+        Some(&self.ctx_grads[idx])
+    }
+
+    /// The example's Eq. 5 loss, from the inner products
+    /// [`SkipGramModel::example_grad`] computed — bit-identical to
+    /// [`SkipGramModel::loss`] on the model the gradient was taken at.
+    pub fn loss(&self) -> f64 {
+        let (&pos, negs) = self
+            .inner
+            .split_first()
+            .expect("example_grad fills the buffer first");
+        let mut l = -self.weight * vector::log_sigmoid(pos);
+        for &x in negs {
+            l -= self.weight * vector::log_sigmoid(-x);
+        }
+        l
     }
 
     /// Joint ℓ2 norm of the whole per-example gradient.
@@ -263,6 +297,17 @@ mod tests {
         assert!(l1 > 0.0);
         assert!((l2 - 2.0 * l1).abs() < 1e-12);
         assert_eq!(m.loss(&sg, 0.0), 0.0);
+    }
+
+    #[test]
+    fn buffer_loss_matches_model_loss_bitwise() {
+        let (m, sg) = setup();
+        let mut buf = GradBuffer::new();
+        for p in [0.0, 0.3, 1.0, 17.5] {
+            m.example_grad(&sg, p, &mut buf);
+            buf.clip(0.01);
+            assert_eq!(buf.loss().to_bits(), m.loss(&sg, p).to_bits(), "p={p}");
+        }
     }
 
     #[test]

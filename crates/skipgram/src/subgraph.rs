@@ -137,9 +137,23 @@ impl<'g> SubgraphGen<'g> {
     /// `≠ centre` so the procedure always terminates — on the paper's
     /// sparse graphs the fallback never triggers.
     pub fn generate(&self, edge_index: usize) -> Subgraph {
+        let mut sg = Subgraph {
+            center: 0,
+            positive: 0,
+            negatives: Vec::with_capacity(self.k),
+            edge_index,
+        };
+        self.generate_into(edge_index, &mut sg);
+        sg
+    }
+
+    /// [`SubgraphGen::generate`] into an existing subgraph, reusing its
+    /// negatives buffer (allocation-free once warm).
+    pub(crate) fn generate_into(&self, edge_index: usize, out: &mut Subgraph) {
         let (u, v) = self.g.edges()[edge_index];
         let mut rng = SmallRng::seed_from_u64(self.premixed ^ edge_index as u64);
-        let mut negatives = Vec::with_capacity(self.k);
+        let negatives = &mut out.negatives;
+        negatives.clear();
         for _ in 0..self.k {
             let n = match self.sampling {
                 NegativeSampling::UniformNonNeighbor => {
@@ -165,12 +179,9 @@ impl<'g> SubgraphGen<'g> {
             };
             negatives.push(n);
         }
-        Subgraph {
-            center: u,
-            positive: v,
-            negatives,
-            edge_index,
-        }
+        out.center = u;
+        out.positive = v;
+        out.edge_index = edge_index;
     }
 
     /// One edge-partitioned shard of `G_S`: the subgraphs of the edges

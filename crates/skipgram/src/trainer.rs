@@ -21,13 +21,14 @@ use crate::perturb::PerturbStrategy;
 use crate::subgraph::{generate_subgraphs, NegativeSampling, Subgraph, SubgraphGen};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sp_dp::{BudgetedAccountant, GaussianSampler, PrivacyBudget};
+use sp_dp::{BudgetedAccountant, GaussianSampler, PolarBatch, PrivacyBudget};
 use sp_graph::{Graph, NodeId};
 use sp_linalg::{vector, DenseMatrix};
+use sp_parallel::Phase;
 use sp_proximity::EdgeProximity;
-use std::borrow::Cow;
 use std::io;
 use std::path::PathBuf;
+use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
 /// Hyper-parameters of Algorithm 2. Defaults are the paper's §VI-A
 /// settings (r=128, k=5, B=128, η=0.1, C=2, σ=5, δ=1e-5, ε=3.5,
@@ -59,21 +60,27 @@ pub struct TrainConfig {
     pub negative_sampling: NegativeSampling,
     /// RNG seed (drives initialisation, sampling, and noise).
     pub seed: u64,
-    /// Worker threads for the per-example gradient pass (`None`
-    /// resolves via [`sp_parallel::resolve_threads`]: the `SP_THREADS`
-    /// environment variable, then the available parallelism).
+    /// Worker threads for the training step (`None` resolves via
+    /// [`sp_parallel::resolve_threads`]: the `SP_THREADS` environment
+    /// variable, then the available parallelism).
     ///
-    /// An explicit `Some(n > 1)` always routes the gradient pass
-    /// through the worker pool; an auto-resolved count engages it only
-    /// when the batch carries enough arithmetic to amortise the
-    /// per-step pool spawn (so toy configs stay on the serial path).
+    /// The threads form one [`sp_parallel::phase_pool`] for the whole
+    /// run. Each step runs two phases on it: the per-example gradients
+    /// (while the caller draws the step's noise pairs), then a
+    /// row-partitioned pass that sums each touched row's clipped
+    /// gradients, adds its noise and applies the update. An explicit
+    /// `Some(n > 1)` always uses the pool; an auto-resolved count uses
+    /// it only when the batch carries enough arithmetic to amortise
+    /// the per-phase hand-off, so toy configs run inline.
     ///
-    /// **Determinism contract:** gradients are computed and clipped in
-    /// parallel but reduced into the batch accumulator serially, in
-    /// batch-sample order, and the batch sampler, noise generator, and
-    /// RDP accountant stay on the caller thread — so for a fixed seed
-    /// the trained model and the privacy spend are byte-identical for
-    /// every thread count (asserted by `tests/parallel_determinism.rs`).
+    /// **Determinism contract:** the batch sampler, the RNG half of the
+    /// noise (the polar method's accept/reject draws) and the RDP
+    /// accountant stay on the caller thread, in stream order; each
+    /// row's gradient sum runs in batch-sample order, and its noise
+    /// transform and update use the same operations as a serial loop.
+    /// So for a fixed seed the trained model and the privacy spend are
+    /// byte-identical for every thread count (asserted by
+    /// `tests/parallel_determinism.rs`).
     pub threads: Option<usize>,
     /// Out-of-core subgraph mode. `None` (the default) materialises
     /// the whole `G_S` up front, as Algorithm 1 is written. `Some(s)`
@@ -285,15 +292,19 @@ pub struct TrainerState {
 pub type CheckpointSink<'a> = &'a mut dyn FnMut(&TrainerState) -> io::Result<()>;
 
 /// Minimum per-batch work (examples × contexts × dim) before an
-/// *auto-resolved* thread count fans the gradient pass out over the
-/// worker pool. `sp_parallel` spawns a fresh scoped pool every step
-/// (~100 µs for 4 workers), so the batch must carry on the order of
-/// that much gradient math before parallelism pays; the paper's §VI-A
-/// configuration (B=128, k=5, r=128 ⇒ 98 304) crosses the bar, toy and
-/// test configs do not. An explicit `TrainConfig::threads = Some(n>1)`
-/// bypasses the heuristic — the caller asked for the pool. The cutover
-/// never changes results — only which path computes them.
-const PAR_GRAD_MIN_WORK: usize = 65_536;
+/// *auto-resolved* thread count runs the step on the worker pool. The
+/// run-scoped pool costs about 1 µs per phase hand-off (two phases per
+/// step), but the serial share of a step — batch sampling, row
+/// marking, the noise draws — does not shrink with threads. Measured
+/// on a 2-vCPU VM (BA graph, 3,000 nodes, 30k edges, k=5, NonZero,
+/// 2 epochs, 2 vs 1 threads, medians of 9): work 3,072 (B=128, r=4)
+/// ran 1.07× slower, 6,144 (r=8) 0.93×, 12,288 (r=16) 0.90×, 24,576
+/// (r=32) 0.74×, 49,152 (r=64) 0.72×, and the paper's §VI-A
+/// configuration (r=128 ⇒ 98,304) 0.63×. An explicit
+/// `TrainConfig::threads = Some(n>1)` bypasses the heuristic — the
+/// caller asked for the pool. The cutover never changes results — only
+/// which path computes them.
+const PAR_GRAD_MIN_WORK: usize = 8_192;
 
 /// Runs Algorithm 2 on a graph + proximity weighting.
 #[derive(Clone, Debug)]
@@ -440,20 +451,20 @@ impl Trainer {
         } else {
             None
         };
-
-        let mut state = BatchState::new(g.num_nodes(), cfg.dim);
         let mut noise = GaussianSampler::new();
-        let mut buf = GradBuffer::new();
 
-        // The per-example pass fans out over the worker pool when the
-        // caller asked for threads explicitly, or when an auto-resolved
-        // count meets the per-batch work bar; both paths clip and
-        // accumulate in batch-sample order, so the result is
-        // byte-identical either way (see `TrainConfig::threads`).
+        // The step runs on the run-scoped pool when the caller asked for
+        // threads explicitly, or when an auto-resolved count meets the
+        // per-batch work bar; every path computes the same bits (see
+        // `TrainConfig::threads`).
         let threads = sp_parallel::resolve_threads(cfg.threads);
-        let par_grads = threads > 1
-            && (cfg.threads.is_some()
-                || batch * (cfg.negatives + 1) * cfg.dim >= PAR_GRAD_MIN_WORK);
+        let pool_threads = if threads > 1
+            && (cfg.threads.is_some() || batch * (cfg.negatives + 1) * cfg.dim >= PAR_GRAD_MIN_WORK)
+        {
+            threads
+        } else {
+            1
+        };
 
         let mut steps_run: u64 = 0;
         let mut epochs_run = 0usize;
@@ -498,92 +509,87 @@ impl Trainer {
         }
         let start_epoch = epochs_run;
 
-        'training: for epoch in start_epoch..cfg.epochs {
-            let final_epoch = epoch + 1 == cfg.epochs;
-            // First (possibly resumed) epoch starts at the snapshot's
-            // step cursor; all later epochs start at 0.
-            let first_step = std::mem::take(&mut resume_step);
-            for step in first_step..steps_per_epoch {
-                // Lines 8–10: stop when the budget would be exceeded.
-                if let Some(acc) = accountant.as_mut() {
-                    if !acc.try_step() {
-                        stopped_by_budget = true;
-                        break 'training;
-                    }
-                }
-                // Line 5: B subgraphs uniformly without replacement
-                // (the sampler stays serial: one RNG stream per run).
-                let idx = rand::seq::index::sample(&mut rng, num_edges, batch);
-                if par_grads {
-                    let picked: Vec<usize> = idx.iter().collect();
-                    // Compute + clip per-example gradients in parallel,
-                    // then reduce serially in batch-sample order.
-                    let grads = sp_parallel::par_map(&picked, threads, |&i| {
-                        let sg = subgraphs.get(i);
-                        let p = prox.weights[sg.edge_index];
-                        let loss = if final_epoch { model.loss(&sg, p) } else { 0.0 };
-                        let mut ebuf = GradBuffer::new();
-                        model.example_grad(&sg, p, &mut ebuf);
-                        ebuf.clip(cfg.clip);
-                        (ebuf, loss)
-                    });
-                    for (ebuf, loss) in &grads {
-                        if final_epoch {
-                            loss_stats.0 += loss;
-                            loss_stats.1 += 1;
+        let step = PooledStep::new(
+            cfg,
+            model,
+            (rng, noise),
+            &subgraphs,
+            prox,
+            batch,
+            pool_threads,
+        );
+        let trained = sp_parallel::phase_pool(
+            pool_threads,
+            |phase| step.work(phase),
+            |pool| -> io::Result<()> {
+                'training: for epoch in start_epoch..cfg.epochs {
+                    let final_epoch = epoch + 1 == cfg.epochs;
+                    // First (possibly resumed) epoch starts at the
+                    // snapshot's step cursor; all later epochs at 0.
+                    let first_step = std::mem::take(&mut resume_step);
+                    for step_in_epoch in first_step..steps_per_epoch {
+                        // Lines 8–10: stop when the budget would be exceeded.
+                        if let Some(acc) = accountant.as_mut() {
+                            if !acc.try_step() {
+                                stopped_by_budget = true;
+                                break 'training;
+                            }
                         }
-                        state.accumulate(ebuf);
-                    }
-                } else {
-                    for i in idx.iter() {
-                        let sg = subgraphs.get(i);
-                        let p = prox.weights[sg.edge_index];
+                        // Line 5 on the caller; line 6's per-example
+                        // gradients on the pool while the caller draws
+                        // the noise; line 7 row-partitioned on the pool.
+                        step.prepare(num_edges, final_epoch);
+                        pool.run();
                         if final_epoch {
-                            loss_stats.0 += model.loss(&sg, p);
-                            loss_stats.1 += 1;
+                            step.fold_losses(&mut loss_stats);
                         }
-                        model.example_grad(&sg, p, &mut buf);
-                        buf.clip(cfg.clip);
-                        state.accumulate(&buf);
+                        step.set_phase(StepPhase::Apply);
+                        pool.run();
+                        steps_run += 1;
+                        // Checkpoint at the step boundary: the loop state
+                        // is exactly (counters, RNG, noise spare, loss,
+                        // model, accountant) — everything TrainerState
+                        // captures.
+                        if let (Some(every), Some(sink)) = (cfg.checkpoint_every, sink.as_mut()) {
+                            if steps_run % every == 0 {
+                                let (rng, noise_spare) = step.rng_state();
+                                let model = step.model.read().expect("model lock poisoned");
+                                let snapshot = TrainerState {
+                                    fingerprint,
+                                    steps_run,
+                                    epochs_run: epochs_run as u64,
+                                    step_in_epoch: (step_in_epoch + 1) as u64,
+                                    rng,
+                                    noise_spare,
+                                    loss_sum: loss_stats.0,
+                                    loss_count: loss_stats.1,
+                                    w_in: model.w_in.clone(),
+                                    w_out: model.w_out.clone(),
+                                    accountant_orders_max: accountant
+                                        .as_ref()
+                                        .map(|a| a.max_order())
+                                        .unwrap_or(0),
+                                    accountant_rdp: accountant
+                                        .as_ref()
+                                        .map(|a| a.rdp_raw().to_vec())
+                                        .unwrap_or_default(),
+                                    accountant_steps: accountant
+                                        .as_ref()
+                                        .map(|a| a.steps())
+                                        .unwrap_or(0),
+                                };
+                                drop(model);
+                                sink(&snapshot)?;
+                            }
+                        }
                     }
+                    epochs_run += 1;
                 }
-                // Lines 6–7: perturb and apply (serial — the noise
-                // stream is part of the seeded RNG sequence).
-                self.apply_update(&mut model, &mut state, batch, &mut noise, &mut rng);
-                steps_run += 1;
-                // Checkpoint at the step boundary: the batch
-                // accumulators are zeroed here, so the loop state is
-                // exactly (counters, RNG, noise spare, loss, model,
-                // accountant) — everything TrainerState captures.
-                if let (Some(every), Some(sink)) = (cfg.checkpoint_every, sink.as_mut()) {
-                    if steps_run % every == 0 {
-                        let snapshot = TrainerState {
-                            fingerprint,
-                            steps_run,
-                            epochs_run: epochs_run as u64,
-                            step_in_epoch: (step + 1) as u64,
-                            rng: rng.state(),
-                            noise_spare: noise.spare(),
-                            loss_sum: loss_stats.0,
-                            loss_count: loss_stats.1,
-                            w_in: model.w_in.clone(),
-                            w_out: model.w_out.clone(),
-                            accountant_orders_max: accountant
-                                .as_ref()
-                                .map(|a| a.max_order())
-                                .unwrap_or(0),
-                            accountant_rdp: accountant
-                                .as_ref()
-                                .map(|a| a.rdp_raw().to_vec())
-                                .unwrap_or_default(),
-                            accountant_steps: accountant.as_ref().map(|a| a.steps()).unwrap_or(0),
-                        };
-                        sink(&snapshot)?;
-                    }
-                }
-            }
-            epochs_run += 1;
-        }
+                Ok(())
+            },
+        );
+        trained?;
+        let model = step.model.into_inner().expect("model lock poisoned");
 
         let (epsilon_spent, delta_spent) =
             accountant.as_ref().map(|a| a.spent()).unwrap_or((0.0, 0.0));
@@ -604,63 +610,6 @@ impl Trainer {
             },
         ))
     }
-
-    /// Noise + SGD application for one batch, per the strategy.
-    fn apply_update(
-        &self,
-        model: &mut SkipGramModel,
-        state: &mut BatchState,
-        batch: usize,
-        noise: &mut GaussianSampler,
-        rng: &mut SmallRng,
-    ) {
-        let cfg = &self.config;
-        let scale = -cfg.learning_rate / batch as f64;
-        let noise_std = cfg.strategy.sensitivity(batch, cfg.clip) * cfg.sigma;
-
-        match cfg.strategy {
-            PerturbStrategy::None | PerturbStrategy::NonZero => {
-                // Update (and, for NonZero, perturb) only touched rows.
-                for &row in &state.touched_in {
-                    let acc = state.acc_in.row_mut(row as usize);
-                    if noise_std > 0.0 {
-                        noise.perturb_slice(acc, noise_std, rng);
-                    }
-                    vector::axpy(scale, acc, model.w_in.row_mut(row as usize));
-                    acc.iter_mut().for_each(|v| *v = 0.0);
-                }
-                for &row in &state.touched_out {
-                    let acc = state.acc_out.row_mut(row as usize);
-                    if noise_std > 0.0 {
-                        noise.perturb_slice(acc, noise_std, rng);
-                    }
-                    vector::axpy(scale, acc, model.w_out.row_mut(row as usize));
-                    acc.iter_mut().for_each(|v| *v = 0.0);
-                }
-            }
-            PerturbStrategy::Naive => {
-                // Every row of both gradient matrices is perturbed
-                // (Fig. 2(c)), including rows whose gradient is zero.
-                let n = model.num_nodes();
-                let dim = model.dim();
-                let mut noise_row = vec![0.0f64; dim];
-                for row in 0..n {
-                    noise.fill_slice(&mut noise_row, noise_std, rng);
-                    let acc = state.acc_in.row_mut(row);
-                    vector::axpy(1.0, acc, &mut noise_row);
-                    vector::axpy(scale, &noise_row, model.w_in.row_mut(row));
-                    acc.iter_mut().for_each(|v| *v = 0.0);
-
-                    noise.fill_slice(&mut noise_row, noise_std, rng);
-                    let acc = state.acc_out.row_mut(row);
-                    vector::axpy(1.0, acc, &mut noise_row);
-                    vector::axpy(scale, &noise_row, model.w_out.row_mut(row));
-                    acc.iter_mut().for_each(|v| *v = 0.0);
-                }
-            }
-        }
-        state.clear_touched();
-    }
 }
 
 /// Where the trainer's subgraphs come from: the whole materialised
@@ -672,64 +621,393 @@ enum SubgraphSource<'g> {
 }
 
 impl SubgraphSource<'_> {
-    fn get(&self, i: usize) -> Cow<'_, Subgraph> {
+    /// Writes subgraph `i` into `out`, reusing its buffers.
+    fn fill(&self, i: usize, out: &mut Subgraph) {
         match self {
-            SubgraphSource::Materialised(v) => Cow::Borrowed(&v[i]),
-            SubgraphSource::Streamed(gen) => Cow::Owned(gen.generate(i)),
-        }
-    }
-}
-
-/// Batch gradient accumulators with touched-row tracking: reused
-/// across every step of a run, zeroed row-by-row (only touched rows
-/// are ever dirty).
-struct BatchState {
-    acc_in: DenseMatrix,
-    acc_out: DenseMatrix,
-    touched_in: Vec<NodeId>,
-    touched_out: Vec<NodeId>,
-    in_flags: Vec<bool>,
-    out_flags: Vec<bool>,
-}
-
-impl BatchState {
-    fn new(num_nodes: usize, dim: usize) -> Self {
-        Self {
-            acc_in: DenseMatrix::zeros(num_nodes, dim),
-            acc_out: DenseMatrix::zeros(num_nodes, dim),
-            touched_in: Vec::new(),
-            touched_out: Vec::new(),
-            in_flags: vec![false; num_nodes],
-            out_flags: vec![false; num_nodes],
-        }
-    }
-
-    fn accumulate(&mut self, buf: &GradBuffer) {
-        let c = buf.center as usize;
-        if !self.in_flags[c] {
-            self.in_flags[c] = true;
-            self.touched_in.push(buf.center);
-        }
-        vector::axpy(1.0, &buf.grad_center, self.acc_in.row_mut(c));
-        for (row, grad) in buf.ctx_rows().iter().zip(buf.ctx_grads()) {
-            let r = *row as usize;
-            if !self.out_flags[r] {
-                self.out_flags[r] = true;
-                self.touched_out.push(*row);
+            SubgraphSource::Materialised(v) => {
+                let sg = &v[i];
+                out.center = sg.center;
+                out.positive = sg.positive;
+                out.negatives.clear();
+                out.negatives.extend_from_slice(&sg.negatives);
+                out.edge_index = sg.edge_index;
             }
-            vector::axpy(1.0, grad, self.acc_out.row_mut(r));
+            SubgraphSource::Streamed(gen) => gen.generate_into(i, out),
+        }
+    }
+}
+
+/// Number of fixed-boundary gradient chunks a batch is split into:
+/// enough for load balance on a few cores, few enough that the apply
+/// phase holds a read guard on each slot without allocating.
+const GRAD_CHUNKS: usize = 16;
+
+/// Matrix elements per apply-phase chunk (16 rows at r=128): large
+/// enough to amortise the model write lock each chunk takes.
+const APPLY_CHUNK_ELEMS: usize = 2048;
+
+/// Marks a node whose row the current step does not touch.
+const UNTOUCHED: u32 = u32::MAX;
+
+/// Which half of a pooled step the workers run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum StepPhase {
+    /// Per-example loss, gradient and clip, in fixed chunks of the
+    /// batch; worker 0 first draws the step's noise pairs.
+    Grad,
+    /// Per touched row: sum the clipped gradients in batch order, add
+    /// the noise, apply the update.
+    Apply,
+}
+
+/// One row the step updates.
+#[derive(Clone, Copy, Debug)]
+enum RowRef {
+    In(NodeId),
+    Out(NodeId),
+}
+
+/// The caller's description of one step, written between phases and
+/// read by every worker during them.
+struct StepPlan {
+    phase: StepPhase,
+    /// Whether the per-example losses are needed (`final_loss`).
+    final_epoch: bool,
+    /// The sampled subgraphs, in batch order.
+    examples: Vec<Subgraph>,
+    /// Updated rows, in noise order: for `None`/`NonZero` the touched
+    /// `W_in` rows then the touched `W_out` rows, each in order of
+    /// first touch; for `Naive` every row, `W_in` and `W_out`
+    /// interleaved. Row `j` takes deviates `j·r .. (j+1)·r`.
+    rows: Vec<RowRef>,
+    /// `contrib[starts[j]..starts[j + 1]]`: the examples whose gradient
+    /// touches `rows[j]`, in batch order.
+    starts: Vec<usize>,
+    contrib: Vec<u32>,
+    /// Index into `rows` of each node's `W_in` / `W_out` row, or
+    /// [`UNTOUCHED`].
+    in_slot: Vec<u32>,
+    out_slot: Vec<u32>,
+    /// `Naive`: `rows` is fixed to every row of both matrices.
+    every_row: bool,
+}
+
+impl StepPlan {
+    fn new(num_nodes: usize, batch: usize, every_row: bool) -> Self {
+        let mut plan = Self {
+            phase: StepPhase::Grad,
+            final_epoch: false,
+            examples: (0..batch)
+                .map(|_| Subgraph {
+                    center: 0,
+                    positive: 0,
+                    negatives: Vec::new(),
+                    edge_index: 0,
+                })
+                .collect(),
+            rows: Vec::new(),
+            starts: Vec::new(),
+            contrib: Vec::new(),
+            in_slot: vec![UNTOUCHED; num_nodes],
+            out_slot: vec![UNTOUCHED; num_nodes],
+            every_row,
+        };
+        assert!(
+            2 * num_nodes < UNTOUCHED as usize,
+            "row slots are u32: too many nodes"
+        );
+        if every_row {
+            for v in 0..num_nodes {
+                plan.in_slot[v] = 2 * v as u32;
+                plan.out_slot[v] = 2 * v as u32 + 1;
+                plan.rows.push(RowRef::In(v as NodeId));
+                plan.rows.push(RowRef::Out(v as NodeId));
+            }
+        }
+        plan
+    }
+
+    /// Finds the rows the sampled examples touch, from the subgraphs
+    /// alone, and lists each row's contributing examples.
+    fn mark_rows(&mut self) {
+        let Self {
+            examples,
+            rows,
+            starts,
+            contrib,
+            in_slot,
+            out_slot,
+            every_row,
+            ..
+        } = self;
+        if !*every_row {
+            for r in rows.drain(..) {
+                match r {
+                    RowRef::In(v) => in_slot[v as usize] = UNTOUCHED,
+                    RowRef::Out(v) => out_slot[v as usize] = UNTOUCHED,
+                }
+            }
+            for sg in examples.iter() {
+                let slot = &mut in_slot[sg.center as usize];
+                if *slot == UNTOUCHED {
+                    *slot = rows.len() as u32;
+                    rows.push(RowRef::In(sg.center));
+                }
+            }
+            for sg in examples.iter() {
+                for v in ctx_rows(sg) {
+                    let slot = &mut out_slot[v as usize];
+                    if *slot == UNTOUCHED {
+                        *slot = rows.len() as u32;
+                        rows.push(RowRef::Out(v));
+                    }
+                }
+            }
+        }
+        // Counting sort of (row, example) pairs by row; stable, so each
+        // row's examples stay in batch order.
+        let slots_of = |sg| row_slots(sg, in_slot, out_slot);
+        starts.clear();
+        starts.resize(rows.len() + 1, 0);
+        for sg in examples.iter() {
+            for j in slots_of(sg) {
+                starts[j + 1] += 1;
+            }
+        }
+        for j in 1..starts.len() {
+            starts[j] += starts[j - 1];
+        }
+        contrib.resize(starts[rows.len()], 0);
+        for (e, sg) in examples.iter().enumerate() {
+            for j in slots_of(sg) {
+                contrib[starts[j]] = e as u32;
+                starts[j] += 1;
+            }
+        }
+        // Each `starts[j]` advanced to the end of row j, which is where
+        // row j + 1 starts.
+        starts.rotate_right(1);
+        starts[0] = 0;
+    }
+}
+
+/// Indices into `StepPlan::rows` of the rows one example touches.
+fn row_slots<'a>(
+    sg: &'a Subgraph,
+    in_slot: &'a [u32],
+    out_slot: &'a [u32],
+) -> impl Iterator<Item = usize> + 'a {
+    std::iter::once(in_slot[sg.center as usize])
+        .chain(ctx_rows(sg).map(|v| out_slot[v as usize]))
+        .map(|s| s as usize)
+}
+
+/// The distinct `W_out` rows one example touches: the positive, then
+/// each negative not seen before — the rows of its
+/// [`GradBuffer::ctx_rows`].
+fn ctx_rows(sg: &Subgraph) -> impl Iterator<Item = NodeId> + '_ {
+    let negs = &sg.negatives;
+    std::iter::once(sg.positive).chain(
+        negs.iter()
+            .enumerate()
+            .filter(move |&(q, n)| *n != sg.positive && !negs[..q].contains(n))
+            .map(|(_, &n)| n),
+    )
+}
+
+/// Clipped per-example gradients and losses of one batch chunk.
+struct GradSlot {
+    bufs: Vec<GradBuffer>,
+    losses: Vec<f64>,
+}
+
+/// Everything one training step shares between the caller and the
+/// pool workers, kept for the whole run.
+///
+/// Determinism: only the caller consumes the run RNG (batch sampling
+/// between phases, the noise pairs at the start of the gradient
+/// phase), in the same order as a serial loop. Each example's gradient
+/// is computed alone, and each row's sum, noise and update are
+/// computed by one worker with the same operations in the same order
+/// as the serial loop, so every thread count gives the same bits.
+struct PooledStep<'r> {
+    subgraphs: &'r SubgraphSource<'r>,
+    weights: &'r [f64],
+    clip: f64,
+    dim: usize,
+    noise_std: f64,
+    scale: f64,
+    grad_chunk: usize,
+    apply_rows: usize,
+    plan: RwLock<StepPlan>,
+    model: RwLock<SkipGramModel>,
+    grads: Vec<RwLock<GradSlot>>,
+    /// The run RNG and the Gaussian sampler's spare: caller only.
+    draws: Mutex<(SmallRng, GaussianSampler)>,
+    deviates: RwLock<PolarBatch>,
+    /// Per-worker row accumulators for one apply chunk.
+    scratch: Vec<Mutex<Vec<f64>>>,
+}
+
+impl<'r> PooledStep<'r> {
+    fn new(
+        cfg: &TrainConfig,
+        model: SkipGramModel,
+        draws: (SmallRng, GaussianSampler),
+        subgraphs: &'r SubgraphSource<'r>,
+        prox: &'r EdgeProximity,
+        batch: usize,
+        threads: usize,
+    ) -> Self {
+        let grad_chunk = batch.div_ceil(GRAD_CHUNKS);
+        let apply_rows = (APPLY_CHUNK_ELEMS / cfg.dim).max(1);
+        let grads = (0..batch.div_ceil(grad_chunk))
+            .map(|c| {
+                let len = grad_chunk.min(batch - c * grad_chunk);
+                RwLock::new(GradSlot {
+                    bufs: (0..len).map(|_| GradBuffer::new()).collect(),
+                    losses: vec![0.0; len],
+                })
+            })
+            .collect();
+        Self {
+            subgraphs,
+            weights: &prox.weights,
+            clip: cfg.clip,
+            dim: cfg.dim,
+            noise_std: cfg.strategy.sensitivity(batch, cfg.clip) * cfg.sigma,
+            scale: -cfg.learning_rate / batch as f64,
+            grad_chunk,
+            apply_rows,
+            plan: RwLock::new(StepPlan::new(
+                model.num_nodes(),
+                batch,
+                cfg.strategy == PerturbStrategy::Naive,
+            )),
+            model: RwLock::new(model),
+            grads,
+            draws: Mutex::new(draws),
+            deviates: RwLock::new(PolarBatch::new()),
+            scratch: (0..threads)
+                .map(|_| Mutex::new(vec![0.0; apply_rows * cfg.dim]))
+                .collect(),
         }
     }
 
-    fn clear_touched(&mut self) {
-        for &r in &self.touched_in {
-            self.in_flags[r as usize] = false;
+    /// Caller, between steps: samples the batch (line 5) and marks the
+    /// rows it touches.
+    fn prepare(&self, num_edges: usize, final_epoch: bool) {
+        let mut plan = self.plan.write().expect("plan lock poisoned");
+        plan.final_epoch = final_epoch;
+        let batch = plan.examples.len();
+        let idx = {
+            let mut draws = self.draws.lock().expect("rng lock poisoned");
+            rand::seq::index::sample(&mut draws.0, num_edges, batch)
+        };
+        for (slot, i) in plan.examples.iter_mut().zip(idx.iter()) {
+            self.subgraphs.fill(i, slot);
         }
-        for &r in &self.touched_out {
-            self.out_flags[r as usize] = false;
+        plan.mark_rows();
+        plan.phase = StepPhase::Grad;
+    }
+
+    fn set_phase(&self, phase: StepPhase) {
+        self.plan.write().expect("plan lock poisoned").phase = phase;
+    }
+
+    /// Adds the step's per-example losses in batch order.
+    fn fold_losses(&self, stats: &mut (f64, u64)) {
+        for slot in &self.grads {
+            for &loss in &slot.read().expect("grad lock poisoned").losses {
+                stats.0 += loss;
+                stats.1 += 1;
+            }
         }
-        self.touched_in.clear();
-        self.touched_out.clear();
+    }
+
+    /// The run RNG state and the sampler's spare, for a checkpoint.
+    fn rng_state(&self) -> ([u64; 4], Option<f64>) {
+        let draws = self.draws.lock().expect("rng lock poisoned");
+        (draws.0.state(), draws.1.spare())
+    }
+
+    /// The pool's work function: one phase of the current step.
+    fn work(&self, phase: &Phase<'_>) {
+        let plan = self.plan.read().expect("plan lock poisoned");
+        match plan.phase {
+            StepPhase::Grad => self.grad_phase(phase, &plan),
+            StepPhase::Apply => self.apply_phase(phase, &plan),
+        }
+    }
+
+    fn grad_phase(&self, phase: &Phase<'_>, plan: &StepPlan) {
+        if phase.worker() == 0 && self.noise_std > 0.0 {
+            // The serial half of the noise (line 7): the RNG draws, in
+            // stream order, while the other workers start on gradients.
+            let mut draws = self.draws.lock().expect("rng lock poisoned");
+            let (rng, sampler) = &mut *draws;
+            let mut deviates = self.deviates.write().expect("noise lock poisoned");
+            sampler.draw_batch(plan.rows.len() * self.dim, &mut deviates, rng);
+        }
+        let model = self.model.read().expect("model lock poisoned");
+        while let Some(c) = phase.claim(self.grads.len()) {
+            let mut slot = self.grads[c].write().expect("grad lock poisoned");
+            let GradSlot { bufs, losses } = &mut *slot;
+            let first = c * self.grad_chunk;
+            let examples = &plan.examples[first..first + bufs.len()];
+            for ((sg, buf), loss) in examples.iter().zip(bufs.iter_mut()).zip(losses) {
+                model.example_grad(sg, self.weights[sg.edge_index], buf);
+                if plan.final_epoch {
+                    *loss = buf.loss();
+                }
+                buf.clip(self.clip);
+            }
+        }
+    }
+
+    fn apply_phase(&self, phase: &Phase<'_>, plan: &StepPlan) {
+        let grads: [Option<RwLockReadGuard<'_, GradSlot>>; GRAD_CHUNKS] =
+            std::array::from_fn(|c| {
+                self.grads
+                    .get(c)
+                    .map(|slot| slot.read().expect("grad lock poisoned"))
+            });
+        let example = |e: u32| {
+            let e = e as usize;
+            let slot = grads[e / self.grad_chunk].as_ref().expect("grad slot");
+            &slot.bufs[e % self.grad_chunk]
+        };
+        let deviates = self.deviates.read().expect("noise lock poisoned");
+        let mut scratch = self.scratch[phase.worker()]
+            .lock()
+            .expect("scratch lock poisoned");
+        let rows = &plan.rows;
+        while let Some(c) = phase.claim(rows.len().div_ceil(self.apply_rows)) {
+            let first = c * self.apply_rows;
+            let chunk = first..(first + self.apply_rows).min(rows.len());
+            for (j, acc) in chunk.clone().zip(scratch.chunks_exact_mut(self.dim)) {
+                acc.fill(0.0);
+                for &e in &plan.contrib[plan.starts[j]..plan.starts[j + 1]] {
+                    let buf = example(e);
+                    let grad = match rows[j] {
+                        RowRef::In(_) => &buf.grad_center[..],
+                        RowRef::Out(v) => buf.ctx_grad(v).expect("marked row has a gradient"),
+                    };
+                    vector::axpy(1.0, grad, acc);
+                }
+                if self.noise_std > 0.0 {
+                    deviates.add_scaled(j * self.dim, self.noise_std, acc);
+                }
+            }
+            let mut model = self.model.write().expect("model lock poisoned");
+            for (j, acc) in chunk.zip(scratch.chunks_exact(self.dim)) {
+                let w = match rows[j] {
+                    RowRef::In(v) => model.w_in.row_mut(v as usize),
+                    RowRef::Out(v) => model.w_out.row_mut(v as usize),
+                };
+                vector::axpy(self.scale, acc, w);
+            }
+        }
     }
 }
 

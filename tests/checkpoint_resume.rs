@@ -178,6 +178,37 @@ fn resume_is_thread_count_invariant() {
     }
 }
 
+#[test]
+fn odd_dim_spare_snapshot_at_two_threads_resumes_at_one() {
+    // At an odd dimension a step can draw an odd number of deviates, so
+    // the polar sampler's spare crosses the step boundary and must ride
+    // in the snapshot. Snapshot on the 2-thread pool, resume serially.
+    let g = graph();
+    let prox = proximity(&g, 1);
+    let odd = |threads| TrainConfig {
+        dim: 7,
+        ..config(threads)
+    };
+    let (baseline, trail) = baseline_with_trail(&odd(2), &g, &prox);
+    let uninterrupted = Trainer::new(odd(1)).train(&g, &prox);
+    assert_same_run(&baseline, &uninterrupted, "2 vs 1 threads");
+    let pending: Vec<&TrainerState> = trail.iter().filter(|st| st.noise_spare.is_some()).collect();
+    assert!(
+        !pending.is_empty() && pending.len() < trail.len(),
+        "dim 7 must leave a spare behind at some boundaries but not all"
+    );
+    for state in pending {
+        let resumed = resume_to_end(&odd(1), &g, &prox, state);
+        let tag = format!("resume at step {}", state.steps_run);
+        assert_same_run(&baseline, &resumed, &tag);
+        assert_eq!(
+            baseline.1.final_loss.to_bits(),
+            resumed.1.final_loss.to_bits(),
+            "{tag}: loss diverged"
+        );
+    }
+}
+
 /// The seed of `SP_FAULT_PLAN` (bare integer in the CI fault matrix)
 /// varies deterministic choices inside tests without changing any
 /// assertion.

@@ -29,6 +29,7 @@ use sp_graph::Graph;
 use sp_linalg::CsrMatrix;
 use sp_proximity::{proximity_matrix_threads, EdgeProximity};
 use sp_skipgram::walks::{corpus_pairs_seeded, WalkConfig};
+use sp_skipgram::{TrainConfig, Trainer};
 
 // ---------------------------------------------------------------------------
 // Fixtures and digests
@@ -317,8 +318,59 @@ fn accountant_charges_identical_steps_for_any_thread_count() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Walk corpus
+#[test]
+fn trainer_bit_identical_across_threads_strategies_dims_and_subgraph_modes() {
+    // 300 nodes so every strategy's update spans several apply chunks
+    // of the pooled step; dim 7 is odd, so the Gaussian spare crosses
+    // rows and steps.
+    let g = ring_with_chords(300);
+    let prox = EdgeProximity::compute_threads(&g, ProximityKind::deepwalk_default(), Some(1));
+    for strategy in [
+        PerturbStrategy::None,
+        PerturbStrategy::Naive,
+        PerturbStrategy::NonZero,
+    ] {
+        for dim in [7, 16] {
+            let cfg = |threads: usize, shard: Option<usize>| TrainConfig {
+                dim,
+                negatives: 3,
+                batch_size: 64,
+                clip: 1.0,
+                epochs: 2,
+                strategy,
+                seed: 0xD5EED,
+                threads: Some(threads),
+                subgraph_shard_edges: shard,
+                ..TrainConfig::default()
+            };
+            let (base_model, base) = Trainer::new(cfg(1, None)).train(&g, &prox);
+            for threads in 1..=4 {
+                for shard in [None, Some(7)] {
+                    let tag = format!("{strategy:?} dim={dim} threads={threads} shard={shard:?}");
+                    let (model, report) = Trainer::new(cfg(threads, shard)).train(&g, &prox);
+                    assert_eq!(
+                        base_model.w_in.as_slice(),
+                        model.w_in.as_slice(),
+                        "{tag}: W_in"
+                    );
+                    assert_eq!(
+                        base_model.w_out.as_slice(),
+                        model.w_out.as_slice(),
+                        "{tag}: W_out"
+                    );
+                    assert_eq!(base.steps_run, report.steps_run, "{tag}: steps");
+                    for (a, b, what) in [
+                        (base.final_loss, report.final_loss, "final_loss"),
+                        (base.epsilon_spent, report.epsilon_spent, "ε"),
+                        (base.delta_spent, report.delta_spent, "δ̂"),
+                    ] {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{tag}: {what}");
+                    }
+                }
+            }
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // IVF serving index
